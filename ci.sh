@@ -69,6 +69,11 @@ Stages, in order:
                 wall-clock), failing on any model drift
                 (--quick: smaller dataset, shorter sweep)
   workspace     cargo test --workspace
+  bench-smoke   the emperf benchmark package's own tests, then one short
+                traced durable-300 run: emperf exits nonzero unless every
+                iteration agrees with the in-memory oracle, scans exactly
+                2k+3 n-row tables plus one pn-row table, and the traced
+                round is bit-identical to the untraced ones
 EOF
     exit 0
 }
@@ -513,5 +518,20 @@ cp "$SRV_TMP/BENCH_cluster.json" BENCH_cluster.json
 
 echo "== workspace: all crate tests"
 cargo test --workspace -q
+
+# Benchmark smoke (emperf/README.md): a seconds-long run of the repo's
+# benchmark applies its correctness gates (oracle lockstep, the §3.5
+# scan contract, traced == untraced) to whatever the engine does now.
+echo "== bench-smoke: emperf tests + short traced durable-300 run"
+cargo test --release --offline -q --manifest-path emperf/Cargo.toml
+cargo run --release --offline --quiet --manifest-path emperf/Cargo.toml -- \
+    --workload durable-300 --seconds 2 --trace 1 > "$SRV_TMP/emperf.out" \
+    2> "$SRV_TMP/emperf.err" || {
+    echo "ERROR: emperf smoke run failed its checks" >&2
+    tail -20 "$SRV_TMP/emperf.err" >&2
+    exit 1
+}
+tail -1 "$SRV_TMP/emperf.out" | grep -q '^{"correct": true' || {
+    echo "ERROR: emperf smoke run did not report correct results" >&2; exit 1; }
 
 echo "CI OK"

@@ -159,13 +159,16 @@ pub fn write_checkpoint(
     }
     // 4. Revalidate — the single point at which the checkpoint becomes
     // visible to readers.
-    let last_llh = ckpt.llh_history.last().copied().unwrap_or(f64::NAN);
+    // A checkpoint taken before the first iteration has no llh yet.
+    let last_llh = ckpt
+        .llh_history
+        .last()
+        .map_or_else(|| "NULL".to_string(), |&v| fmt_f64(v));
     exec(
         db,
         &format!(
-            "INSERT INTO {meta} VALUES ({}, {k}, {p}, {})",
-            ckpt.iteration,
-            fmt_f64(last_llh)
+            "INSERT INTO {meta} VALUES ({}, {k}, {p}, {last_llh})",
+            ckpt.iteration
         ),
     )?;
     Ok(())

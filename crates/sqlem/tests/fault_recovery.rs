@@ -227,6 +227,31 @@ fn resume_without_checkpoint_reports_none() {
 }
 
 #[test]
+fn checkpoint_at_iteration_zero_resumes_the_initial_model() {
+    // A checkpoint taken right after initialization has no llh yet.
+    let mut db = Database::new();
+    let config = SqlemConfig::new(2, Strategy::Hybrid);
+    let mut session = EmSession::create(&mut db, &config, 2).unwrap();
+    session.load_points(&blobs()).unwrap();
+    session
+        .initialize(&InitStrategy::Explicit(init_params()))
+        .unwrap();
+    let params = session.params().unwrap();
+    let ckpt = sqlem::Checkpoint {
+        iteration: 0,
+        llh_history: Vec::new(),
+        params: params.clone(),
+    };
+    sqlem::checkpoint::write_checkpoint(session.executor(), &sqlem::Names::new(""), &ckpt).unwrap();
+    drop(session);
+
+    let mut resumed = EmSession::create(&mut db, &config, 2).unwrap();
+    resumed.load_points(&blobs()).unwrap();
+    assert_eq!(resumed.resume_from_checkpoint().unwrap(), Some(0));
+    assert_eq!(resumed.params().unwrap(), params, "same model");
+}
+
+#[test]
 fn checkpoint_survives_cleanup_and_can_be_cleared() {
     let mut db = Database::new();
     let config = SqlemConfig::new(2, Strategy::Hybrid)

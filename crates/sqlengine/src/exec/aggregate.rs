@@ -13,9 +13,9 @@
 //! `SUM`/`AVG` accumulate through [`ExactSum`], so the finalized value
 //! is the correctly-rounded sum of the input multiset — bit-identical
 //! under any partitioning, whether across execution threads or across
-//! cluster shards. [`PartialAggState`] snapshots accumulator state for
-//! shard→coordinator transport, and merging partials is exact for every
-//! aggregate except `VARIANCE`/`STDDEV` (Chan's moment combination,
+//! cluster shards. A [`PartialAggState`] is both the live accumulator and
+//! what a shard ships to the coordinator, and merging partials is exact
+//! for every aggregate except `VARIANCE`/`STDDEV` (Chan's moment combination,
 //! deterministic in shard order but not order-free; the EM-generated
 //! SQL never uses them).
 
@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use crate::ast::{is_aggregate_name, Expr};
 use crate::error::{Error, Result};
 use crate::exactsum::ExactSum;
+use crate::exec::keymap::KeyMap;
 use crate::exec::select::RowSink;
 use crate::expr::{compile, CExpr, ColumnResolver};
 use crate::table::Row;
@@ -243,380 +244,27 @@ fn rewrite(
 // Accumulation
 // ---------------------------------------------------------------------
 
-/// Running state of one accumulator.
-#[derive(Debug, Clone)]
-enum AggState {
-    Sum {
-        acc: ExactSum,
-        count: u64,
-        all_int: bool,
-    },
-    Count(u64),
-    Avg {
-        acc: ExactSum,
-        count: u64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    /// Welford online moments; `stddev` selects the square root at
-    /// finalize time.
-    Var {
-        count: u64,
-        mean: f64,
-        m2: f64,
-        stddev: bool,
-    },
-}
-
-impl AggState {
-    fn new(kind: AggKind) -> AggState {
-        match kind {
-            AggKind::Sum => AggState::Sum {
-                acc: ExactSum::new(),
-                count: 0,
-                all_int: true,
-            },
-            AggKind::Count => AggState::Count(0),
-            AggKind::Avg => AggState::Avg {
-                acc: ExactSum::new(),
-                count: 0,
-            },
-            AggKind::Min => AggState::Min(None),
-            AggKind::Max => AggState::Max(None),
-            AggKind::Variance => AggState::Var {
-                count: 0,
-                mean: 0.0,
-                m2: 0.0,
-                stddev: false,
-            },
-            AggKind::Stddev => AggState::Var {
-                count: 0,
-                mean: 0.0,
-                m2: 0.0,
-                stddev: true,
-            },
-        }
-    }
-
-    fn update(&mut self, v: Option<Value>) -> Result<()> {
-        match self {
-            AggState::Count(c) => {
-                // COUNT(*) gets v = None (count every row); COUNT(expr)
-                // counts non-NULL values.
-                match v {
-                    None => *c += 1,
-                    Some(val) if !val.is_null() => *c += 1,
-                    Some(_) => {}
-                }
-            }
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("SUM over non-numeric value {val}"),
-                        })?;
-                        if !matches!(val, Value::Int(_)) {
-                            *all_int = false;
-                        }
-                        acc.add(x);
-                        *count += 1;
-                    }
-                }
-            }
-            AggState::Avg { acc, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("AVG over non-numeric value {val}"),
-                        })?;
-                        acc.add(x);
-                        *count += 1;
-                    }
-                }
-            }
-            AggState::Min(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match best {
-                            None => true,
-                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_lt()),
-                        };
-                        if replace {
-                            *best = Some(val);
-                        }
-                    }
-                }
-            }
-            AggState::Max(best) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let replace = match best {
-                            None => true,
-                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_gt()),
-                        };
-                        if replace {
-                            *best = Some(val);
-                        }
-                    }
-                }
-            }
-            AggState::Var {
-                count, mean, m2, ..
-            } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
-                            context: format!("VARIANCE over non-numeric value {val}"),
-                        })?;
-                        *count += 1;
-                        let delta = x - *mean;
-                        *mean += delta / *count as f64;
-                        *m2 += delta * (x - *mean);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merge a partition-local state (parallel execution).
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (
-                AggState::Sum {
-                    acc,
-                    count,
-                    all_int,
-                },
-                AggState::Sum {
-                    acc: a2,
-                    count: c2,
-                    all_int: i2,
-                },
-            ) => {
-                acc.merge(&a2);
-                *count += c2;
-                *all_int &= i2;
-            }
-            (AggState::Count(c), AggState::Count(c2)) => *c += c2,
-            (AggState::Avg { acc, count }, AggState::Avg { acc: a2, count: c2 }) => {
-                acc.merge(&a2);
-                *count += c2;
-            }
-            (AggState::Min(best), AggState::Min(Some(v))) => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_lt()),
-                };
-                if replace {
-                    *best = Some(v);
-                }
-            }
-            (AggState::Max(best), AggState::Max(Some(v))) => {
-                let replace = match best {
-                    None => true,
-                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_gt()),
-                };
-                if replace {
-                    *best = Some(v);
-                }
-            }
-            (AggState::Min(_), AggState::Min(None)) => {}
-            (AggState::Max(_), AggState::Max(None)) => {}
-            (
-                AggState::Var {
-                    count, mean, m2, ..
-                },
-                AggState::Var {
-                    count: c2,
-                    mean: mu2,
-                    m2: s2,
-                    ..
-                },
-            ) => {
-                // Chan et al. parallel combination of moments.
-                if c2 > 0 {
-                    let n1 = *count as f64;
-                    let n2 = c2 as f64;
-                    let delta = mu2 - *mean;
-                    let total = n1 + n2;
-                    *mean += delta * n2 / total;
-                    *m2 += s2 + delta * delta * n1 * n2 / total;
-                    *count += c2;
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
-    fn finalize(&self) -> Value {
-        match self {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                let total = acc.finalize();
-                if *count == 0 {
-                    Value::Null
-                } else if *all_int && total.abs() < 9.0e15 {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Double(total)
-                }
-            }
-            AggState::Count(c) => Value::Int(*c as i64),
-            AggState::Avg { acc, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(acc.finalize() / *count as f64)
-                }
-            }
-            AggState::Min(b) | AggState::Max(b) => b.clone().unwrap_or(Value::Null),
-            AggState::Var {
-                count, m2, stddev, ..
-            } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    let var = m2 / *count as f64;
-                    Value::Double(if *stddev { var.sqrt() } else { var })
-                }
-            }
-        }
-    }
-
-    /// Snapshot for shard→coordinator transport.
-    fn to_partial(&self) -> PartialAggState {
-        match self {
-            AggState::Sum {
-                acc,
-                count,
-                all_int,
-            } => {
-                let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
-                PartialAggState::Sum {
-                    comps: comps.to_vec(),
-                    has_nan,
-                    pos_inf,
-                    neg_inf,
-                    count: *count,
-                    all_int: *all_int,
-                }
-            }
-            AggState::Count(c) => PartialAggState::Count(*c),
-            AggState::Avg { acc, count } => {
-                let (comps, has_nan, pos_inf, neg_inf) = acc.to_parts();
-                PartialAggState::Avg {
-                    comps: comps.to_vec(),
-                    has_nan,
-                    pos_inf,
-                    neg_inf,
-                    count: *count,
-                }
-            }
-            AggState::Min(b) => PartialAggState::Min(b.clone()),
-            AggState::Max(b) => PartialAggState::Max(b.clone()),
-            AggState::Var {
-                count,
-                mean,
-                m2,
-                stddev,
-            } => PartialAggState::Var {
-                count: *count,
-                mean: *mean,
-                m2: *m2,
-                stddev: *stddev,
-            },
-        }
-    }
-
-    /// Rebuild a live accumulator from a transported snapshot.
-    fn from_partial(p: &PartialAggState) -> AggState {
-        match p {
-            PartialAggState::Sum {
-                comps,
-                has_nan,
-                pos_inf,
-                neg_inf,
-                count,
-                all_int,
-            } => AggState::Sum {
-                acc: ExactSum::from_parts(comps, *has_nan, *pos_inf, *neg_inf),
-                count: *count,
-                all_int: *all_int,
-            },
-            PartialAggState::Count(c) => AggState::Count(*c),
-            PartialAggState::Avg {
-                comps,
-                has_nan,
-                pos_inf,
-                neg_inf,
-                count,
-            } => AggState::Avg {
-                acc: ExactSum::from_parts(comps, *has_nan, *pos_inf, *neg_inf),
-                count: *count,
-            },
-            PartialAggState::Min(b) => AggState::Min(b.clone()),
-            PartialAggState::Max(b) => AggState::Max(b.clone()),
-            PartialAggState::Var {
-                count,
-                mean,
-                m2,
-                stddev,
-            } => AggState::Var {
-                count: *count,
-                mean: *mean,
-                m2: *m2,
-                stddev: *stddev,
-            },
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Partial-aggregate transport (scatter/gather)
-// ---------------------------------------------------------------------
-
-/// Serializable snapshot of one aggregate accumulator: what a shard
-/// ships to the cluster coordinator instead of a finalized value, so
-/// the gather step can recombine partial `SUM`/`COUNT`/`AVG` states
-/// **exactly** (the expansion components of [`ExactSum`] travel as-is
-/// and merge without rounding).
+/// Running state of one aggregate accumulator. The same value is what a
+/// shard ships to the cluster coordinator instead of a finalized
+/// result: [`ExactSum`] states merge without rounding, so the gather
+/// step recombines partial `SUM`/`COUNT`/`AVG` states **exactly**.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartialAggState {
     /// `COUNT` — rows counted so far.
     Count(u64),
-    /// `SUM` — exact-sum expansion plus SQL bookkeeping.
+    /// `SUM` — exact sum plus SQL bookkeeping.
     Sum {
-        /// Nonoverlapping expansion components of the running sum.
-        comps: Vec<f64>,
-        /// A NaN was absorbed.
-        has_nan: bool,
-        /// A `+∞` was absorbed (or the sum overflowed upward).
-        pos_inf: bool,
-        /// A `-∞` was absorbed (or the sum overflowed downward).
-        neg_inf: bool,
+        /// Exact running sum, NaN and infinity flags included.
+        acc: ExactSum,
         /// Non-NULL inputs seen (SUM over zero inputs is NULL).
         count: u64,
         /// Every input was an integer (integral SUM stays integral).
         all_int: bool,
     },
-    /// `AVG` — exact-sum expansion plus the divisor count.
+    /// `AVG` — exact sum plus the divisor count.
     Avg {
-        /// Nonoverlapping expansion components of the running sum.
-        comps: Vec<f64>,
-        /// A NaN was absorbed.
-        has_nan: bool,
-        /// A `+∞` was absorbed (or the sum overflowed upward).
-        pos_inf: bool,
-        /// A `-∞` was absorbed (or the sum overflowed downward).
-        neg_inf: bool,
+        /// Exact running sum, NaN and infinity flags included.
+        acc: ExactSum,
         /// Non-NULL inputs seen.
         count: u64,
     },
@@ -639,24 +287,241 @@ pub enum PartialAggState {
 }
 
 impl PartialAggState {
-    /// Merge another shard's partial into this one. Mismatched
-    /// accumulator kinds mean the two sides planned different
-    /// aggregates for the same statement — an internal invariant
-    /// violation, surfaced as a typed error instead of a panic since
-    /// the input crossed a process boundary.
-    pub fn merge(&mut self, other: &PartialAggState) -> Result<()> {
-        let mut mine = AggState::from_partial(self);
-        let theirs = AggState::from_partial(other);
-        if std::mem::discriminant(&mine) != std::mem::discriminant(&theirs) {
-            return Err(Error::Unsupported(format!(
-                "mismatched partial-aggregate kinds: {self:?} vs {other:?}"
-            )));
+    fn new(kind: AggKind) -> PartialAggState {
+        match kind {
+            AggKind::Sum => PartialAggState::Sum {
+                acc: ExactSum::new(),
+                count: 0,
+                all_int: true,
+            },
+            AggKind::Count => PartialAggState::Count(0),
+            AggKind::Avg => PartialAggState::Avg {
+                acc: ExactSum::new(),
+                count: 0,
+            },
+            AggKind::Min => PartialAggState::Min(None),
+            AggKind::Max => PartialAggState::Max(None),
+            AggKind::Variance => PartialAggState::Var {
+                count: 0,
+                mean: 0.0,
+                m2: 0.0,
+                stddev: false,
+            },
+            AggKind::Stddev => PartialAggState::Var {
+                count: 0,
+                mean: 0.0,
+                m2: 0.0,
+                stddev: true,
+            },
         }
-        mine.merge(theirs);
-        *self = mine.to_partial();
+    }
+
+    fn update(&mut self, v: Option<Value>) -> Result<()> {
+        match self {
+            PartialAggState::Count(c) => {
+                // COUNT(*) gets v = None (count every row); COUNT(expr)
+                // counts non-NULL values.
+                match v {
+                    None => *c += 1,
+                    Some(val) if !val.is_null() => *c += 1,
+                    Some(_) => {}
+                }
+            }
+            PartialAggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => {
+                if let Some(val) = v {
+                    if !val.is_null() {
+                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                            context: format!("SUM over non-numeric value {val}"),
+                        })?;
+                        if !matches!(val, Value::Int(_)) {
+                            *all_int = false;
+                        }
+                        acc.add(x);
+                        *count += 1;
+                    }
+                }
+            }
+            PartialAggState::Avg { acc, count } => {
+                if let Some(val) = v {
+                    if !val.is_null() {
+                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                            context: format!("AVG over non-numeric value {val}"),
+                        })?;
+                        acc.add(x);
+                        *count += 1;
+                    }
+                }
+            }
+            PartialAggState::Min(best) => {
+                if let Some(val) = v {
+                    if !val.is_null() {
+                        let replace = match best {
+                            None => true,
+                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_lt()),
+                        };
+                        if replace {
+                            *best = Some(val);
+                        }
+                    }
+                }
+            }
+            PartialAggState::Max(best) => {
+                if let Some(val) = v {
+                    if !val.is_null() {
+                        let replace = match best {
+                            None => true,
+                            Some(b) => val.sql_cmp(b).is_some_and(|o| o.is_gt()),
+                        };
+                        if replace {
+                            *best = Some(val);
+                        }
+                    }
+                }
+            }
+            PartialAggState::Var {
+                count, mean, m2, ..
+            } => {
+                if let Some(val) = v {
+                    if !val.is_null() {
+                        let x = val.as_f64().ok_or_else(|| Error::TypeMismatch {
+                            context: format!("VARIANCE over non-numeric value {val}"),
+                        })?;
+                        *count += 1;
+                        let delta = x - *mean;
+                        *mean += delta / *count as f64;
+                        *m2 += delta * (x - *mean);
+                    }
+                }
+            }
+        }
         Ok(())
     }
+
+    /// Merge another partition's or shard's state into this one.
+    /// Mismatched accumulator kinds mean the two sides planned different
+    /// aggregates for the same statement — an internal invariant
+    /// violation, surfaced as a typed error instead of a panic since
+    /// the input may have crossed a process boundary.
+    pub fn merge(&mut self, other: &PartialAggState) -> Result<()> {
+        match (&mut *self, other) {
+            (
+                PartialAggState::Sum {
+                    acc,
+                    count,
+                    all_int,
+                },
+                PartialAggState::Sum {
+                    acc: a2,
+                    count: c2,
+                    all_int: i2,
+                },
+            ) => {
+                acc.merge(a2);
+                *count += c2;
+                *all_int &= i2;
+            }
+            (PartialAggState::Count(c), PartialAggState::Count(c2)) => *c += c2,
+            (PartialAggState::Avg { acc, count }, PartialAggState::Avg { acc: a2, count: c2 }) => {
+                acc.merge(a2);
+                *count += c2;
+            }
+            (PartialAggState::Min(best), PartialAggState::Min(Some(v))) => {
+                let replace = match best {
+                    None => true,
+                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_lt()),
+                };
+                if replace {
+                    *best = Some(v.clone());
+                }
+            }
+            (PartialAggState::Max(best), PartialAggState::Max(Some(v))) => {
+                let replace = match best {
+                    None => true,
+                    Some(b) => v.sql_cmp(b).is_some_and(|o| o.is_gt()),
+                };
+                if replace {
+                    *best = Some(v.clone());
+                }
+            }
+            (PartialAggState::Min(_), PartialAggState::Min(None)) => {}
+            (PartialAggState::Max(_), PartialAggState::Max(None)) => {}
+            (
+                PartialAggState::Var {
+                    count, mean, m2, ..
+                },
+                PartialAggState::Var {
+                    count: c2,
+                    mean: mu2,
+                    m2: s2,
+                    ..
+                },
+            ) => {
+                // Chan et al. parallel combination of moments.
+                if *c2 > 0 {
+                    let n1 = *count as f64;
+                    let n2 = *c2 as f64;
+                    let delta = mu2 - *mean;
+                    let total = n1 + n2;
+                    *mean += delta * n2 / total;
+                    *m2 += s2 + delta * delta * n1 * n2 / total;
+                    *count += c2;
+                }
+            }
+            _ => {
+                return Err(Error::Unsupported(format!(
+                    "mismatched partial-aggregate kinds: {self:?} vs {other:?}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    fn finalize(&self) -> Value {
+        match self {
+            PartialAggState::Sum {
+                acc,
+                count,
+                all_int,
+            } => {
+                let total = acc.finalize();
+                if *count == 0 {
+                    Value::Null
+                } else if *all_int && total.abs() < 9.0e15 {
+                    Value::Int(total as i64)
+                } else {
+                    Value::Double(total)
+                }
+            }
+            PartialAggState::Count(c) => Value::Int(*c as i64),
+            PartialAggState::Avg { acc, count } => {
+                if *count == 0 {
+                    Value::Null
+                } else {
+                    Value::Double(acc.finalize() / *count as f64)
+                }
+            }
+            PartialAggState::Min(b) | PartialAggState::Max(b) => b.clone().unwrap_or(Value::Null),
+            PartialAggState::Var {
+                count, m2, stddev, ..
+            } => {
+                if *count == 0 {
+                    Value::Null
+                } else {
+                    let var = m2 / *count as f64;
+                    Value::Double(if *stddev { var.sqrt() } else { var })
+                }
+            }
+        }
+    }
 }
+
+// ---------------------------------------------------------------------
+// Partial-aggregate transport (scatter/gather)
+// ---------------------------------------------------------------------
 
 /// The partial result of one scattered aggregate statement on one
 /// shard: grouped keys with un-finalized accumulator states. The
@@ -704,9 +569,13 @@ impl PartialAggResult {
 /// Hash-aggregation sink: one per execution partition.
 pub struct AggSink {
     plan: AggPlan,
-    /// Group key → index into `groups`, preserving first-seen order.
-    index: HashMap<Row, usize>,
-    groups: Vec<(Row, Vec<AggState>)>,
+    /// Group key → index into `groups`. Unused without GROUP BY: the
+    /// single group needs no hashing.
+    index: KeyMap<u32>,
+    /// Groups in first-seen order.
+    groups: Vec<(Row, Vec<PartialAggState>)>,
+    /// Reused buffer for the current row's group key.
+    key: Vec<Value>,
     /// Input rows consumed (telemetry: expr-eval accounting).
     rows_seen: u64,
 }
@@ -715,8 +584,9 @@ impl AggSink {
     /// Fresh sink for `plan`.
     pub fn new(plan: AggPlan) -> Self {
         AggSink {
+            index: KeyMap::new(plan.keys.len(), 0),
+            key: Vec::with_capacity(plan.keys.len()),
             plan,
-            index: HashMap::new(),
             groups: Vec::new(),
             rows_seen: 0,
         }
@@ -725,6 +595,17 @@ impl AggSink {
     /// Number of distinct groups accumulated so far.
     pub fn group_count(&self) -> usize {
         self.groups.len()
+    }
+
+    /// Index into `groups` of the group keyed `key`, and whether it is
+    /// new. A new group is not yet in `groups`: the caller pushes it.
+    fn find_group(&mut self, key: &[Value]) -> (usize, bool) {
+        let next = self.groups.len();
+        if self.plan.keys.is_empty() {
+            return (0, next == 0);
+        }
+        let (&mut idx, new) = self.index.get_or_insert_with(key, || next as u32);
+        (idx as usize, new)
     }
 
     /// Working-memory footprint of the group table under the logical
@@ -743,43 +624,36 @@ impl AggSink {
             .sum()
     }
 
-    /// Snapshot the accumulated groups as transportable partial states
+    /// Hand over the accumulated groups as transportable partial states
     /// (the scatter half of a distributed aggregate).
-    pub fn export_partial(&self) -> PartialAggResult {
+    pub fn export_partial(self) -> PartialAggResult {
         PartialAggResult {
             groups: self
                 .groups
-                .iter()
-                .map(|(key, states)| {
-                    (
-                        key.to_vec(),
-                        states.iter().map(AggState::to_partial).collect(),
-                    )
-                })
+                .into_iter()
+                .map(|(key, states)| (key.into_vec(), states))
                 .collect(),
         }
     }
 
     /// Absorb a merged partial result (the gather half): each group's
-    /// transported states rehydrate into live accumulators and merge
-    /// into this sink. The plan's aggregate arity must match.
+    /// transported states merge into this sink. The plan's aggregate
+    /// arity and kinds must match.
     pub fn inject_partial(&mut self, partial: &PartialAggResult) -> Result<()> {
         for (key, states) in &partial.groups {
-            if states.len() != self.plan.aggs.len() {
+            if states.len() != self.plan.aggs.len() || key.len() != self.plan.keys.len() {
                 return Err(Error::Unsupported(format!(
-                    "partial-aggregate arity {} does not match plan arity {}",
+                    "partial-aggregate shape ({} keys, {} states) does not match plan ({} keys, {} aggregates)",
+                    key.len(),
                     states.len(),
+                    self.plan.keys.len(),
                     self.plan.aggs.len()
                 )));
             }
-            let key: Row = key.clone().into_boxed_slice();
-            let rehydrated: Vec<AggState> = states.iter().map(AggState::from_partial).collect();
             // Kind check before merge: the states crossed a process
-            // boundary, so a mismatch must be a typed error, not the
-            // panic the in-process merge path reserves for impossible
-            // states.
-            for (spec, st) in self.plan.aggs.iter().zip(&rehydrated) {
-                let expected = AggState::new(spec.kind);
+            // boundary.
+            for (spec, st) in self.plan.aggs.iter().zip(states) {
+                let expected = PartialAggState::new(spec.kind);
                 if std::mem::discriminant(st) != std::mem::discriminant(&expected) {
                     return Err(Error::Unsupported(format!(
                         "partial-aggregate state {st:?} does not match planned {:?}",
@@ -787,16 +661,13 @@ impl AggSink {
                     )));
                 }
             }
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(rehydrated) {
-                        mine.merge(theirs);
+            match self.find_group(key) {
+                (i, false) => {
+                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(states) {
+                        mine.merge(theirs)?;
                     }
                 }
-                None => {
-                    self.index.insert(key.clone(), self.groups.len());
-                    self.groups.push((key, rehydrated));
-                }
+                (_, true) => self.groups.push((key.as_slice().into(), states.clone())),
             }
         }
         Ok(())
@@ -807,16 +678,14 @@ impl AggSink {
     pub fn merge(&mut self, other: AggSink) {
         self.rows_seen += other.rows_seen;
         for (key, states) in other.groups {
-            match self.index.get(&key) {
-                Some(&i) => {
-                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(states) {
-                        mine.merge(theirs);
+            match self.find_group(&key) {
+                (i, false) => {
+                    for (mine, theirs) in self.groups[i].1.iter_mut().zip(&states) {
+                        mine.merge(theirs)
+                            .expect("partitions of one statement share one aggregate plan");
                     }
                 }
-                None => {
-                    self.index.insert(key.clone(), self.groups.len());
-                    self.groups.push((key, states));
-                }
+                (_, true) => self.groups.push((key, states)),
             }
         }
     }
@@ -825,11 +694,11 @@ impl AggSink {
     pub fn finalize(&mut self) -> Result<Vec<Row>> {
         // Implicit aggregation over an empty input yields one group.
         if self.groups.is_empty() && self.plan.keys.is_empty() {
-            let states: Vec<AggState> = self
+            let states = self
                 .plan
                 .aggs
                 .iter()
-                .map(|a| AggState::new(a.kind))
+                .map(|a| PartialAggState::new(a.kind))
                 .collect();
             self.groups.push((Box::new([]), states));
         }
@@ -863,27 +732,22 @@ impl AggSink {
 impl RowSink for AggSink {
     fn push(&mut self, row: &[Value]) -> Result<()> {
         self.rows_seen += 1;
-        let key: Row = self
-            .plan
-            .keys
-            .iter()
-            .map(|e| e.eval(row))
-            .collect::<Result<Vec<_>>>()?
-            .into_boxed_slice();
-        let idx = match self.index.get(&key) {
-            Some(&i) => i,
-            None => {
-                let states: Vec<AggState> = self
-                    .plan
-                    .aggs
-                    .iter()
-                    .map(|a| AggState::new(a.kind))
-                    .collect();
-                self.index.insert(key.clone(), self.groups.len());
-                self.groups.push((key, states));
-                self.groups.len() - 1
-            }
-        };
+        let mut key = std::mem::take(&mut self.key);
+        key.clear();
+        for e in &self.plan.keys {
+            key.push(e.eval(row)?);
+        }
+        let (idx, new) = self.find_group(&key);
+        if new {
+            let states = self
+                .plan
+                .aggs
+                .iter()
+                .map(|a| PartialAggState::new(a.kind))
+                .collect();
+            self.groups.push((key.as_slice().into(), states));
+        }
+        self.key = key;
         for (spec, state) in self.plan.aggs.iter().zip(&mut self.groups[idx].1) {
             let v = match &spec.arg {
                 Some(e) => Some(e.eval(row)?),

@@ -9,6 +9,7 @@
 
 pub mod aggregate;
 mod dml;
+mod keymap;
 mod select;
 
 pub use select::{explain_select, finalize_select_partials, run_select, run_select_partial};

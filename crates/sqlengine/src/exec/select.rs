@@ -15,12 +15,11 @@
 //! partition order, mimicking the AMP parallelism of the paper's Teradata
 //! installation.
 
-use std::collections::HashMap;
-
 use crate::ast::{BinOp, Expr, Select, SelectItem};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::aggregate::{plan_aggregate, AggSink, PartialAggResult};
+use crate::exec::keymap::KeyMap;
 use crate::exec::{ExecConfig, QueryResult};
 use crate::expr::{compile, CExpr, ColumnResolver};
 use crate::metrics::StmtProbe;
@@ -444,11 +443,24 @@ enum StageKind {
     /// Equi-join: probe keys are evaluated over the accumulated row, the
     /// hash map indexes the stage table's (filtered) rows by build key.
     Hash {
-        map: HashMap<Row, Vec<u32>>,
+        table: JoinTable,
         probe_keys: Vec<CExpr>,
     },
     /// Cross product with the (filtered) stage rows.
     Broadcast { indices: Vec<u32> },
+}
+
+/// End of a [`JoinTable`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// Equi-join build side: the build rows of each key chained in build
+/// order, so a probe yields its matches in the order they were built.
+struct JoinTable {
+    /// Key → (first, last) build row of its chain.
+    heads: KeyMap<(u32, u32)>,
+    /// `next[row]`: the build row after `row` in its key's chain, or
+    /// [`CHAIN_END`].
+    next: Vec<u32>,
 }
 
 /// One build-side stage.
@@ -607,18 +619,20 @@ fn build_pipeline<'a>(
             )?;
             StageKind::Broadcast { indices }
         } else {
-            let mut map: HashMap<Row, Vec<u32>> = HashMap::with_capacity(table.len());
+            let mut heads = KeyMap::new(build_exprs.len(), table.len());
+            let mut next = vec![CHAIN_END; table.len()];
+            let mut key: Vec<Value> = Vec::with_capacity(build_exprs.len());
+            let mut build_rows = 0u64;
             for (idx, row) in table.rows().iter().enumerate() {
                 if let Some(f) = &build_filter {
                     if !f.eval_predicate(row)? {
                         continue;
                     }
                 }
-                let key: Row = build_exprs
-                    .iter()
-                    .map(|e| e.eval(row))
-                    .collect::<Result<Vec<_>>>()?
-                    .into_boxed_slice();
+                key.clear();
+                for e in &build_exprs {
+                    key.push(e.eval(row)?);
+                }
                 // SQL join semantics: a NULL key never matches.
                 if key.iter().any(Value::is_null) {
                     continue;
@@ -627,23 +641,22 @@ fn build_pipeline<'a>(
                 // its key plus one index slot, a collision one slot.
                 // The build phase is single-threaded, so these charges
                 // are deterministic regardless of worker count.
-                let key_bytes = row_bytes(&key);
-                match map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        probe.tracker().charge("join build", ENTRY_OVERHEAD_BYTES)?;
-                        e.get_mut().push(idx as u32);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        probe
-                            .tracker()
-                            .charge("join build", key_bytes + ENTRY_OVERHEAD_BYTES)?;
-                        e.insert(vec![idx as u32]);
-                    }
+                let idx = idx as u32;
+                let (chain, new) = heads.get_or_insert_with(&key, || (idx, idx));
+                if new {
+                    probe
+                        .tracker()
+                        .charge("join build", row_bytes(&key) + ENTRY_OVERHEAD_BYTES)?;
+                } else {
+                    probe.tracker().charge("join build", ENTRY_OVERHEAD_BYTES)?;
+                    next[chain.1 as usize] = idx;
+                    chain.1 = idx;
                 }
+                build_rows += 1;
             }
-            probe.add_build_rows(map.values().map(|v| v.len() as u64).sum());
+            probe.add_build_rows(build_rows);
             StageKind::Hash {
-                map,
+                table: JoinTable { heads, next },
                 probe_keys: probe_exprs,
             }
         };
@@ -884,26 +897,36 @@ fn walk_stages<S: RowSink>(
     let stage = &pipeline.stages[stage_idx];
     let base_len = scratch.len();
     match &stage.kind {
-        StageKind::Hash { map, probe_keys } => {
+        StageKind::Hash { table, probe_keys } => {
             tally.expr_evals += probe_keys.len() as u64;
-            let mut key = Vec::with_capacity(probe_keys.len());
-            for e in probe_keys {
+            let head = if let [e] = probe_keys.as_slice() {
                 let v = e.eval(scratch)?;
                 if v.is_null() {
                     return Ok(()); // NULL never joins
                 }
-                key.push(v);
-            }
-            let Some(matches) = map.get(key.as_slice()) else {
+                table.heads.get(std::slice::from_ref(&v)).copied()
+            } else {
+                let mut key = Vec::with_capacity(probe_keys.len());
+                for e in probe_keys {
+                    let v = e.eval(scratch)?;
+                    if v.is_null() {
+                        return Ok(()); // NULL never joins
+                    }
+                    key.push(v);
+                }
+                table.heads.get(&key).copied()
+            };
+            let Some((mut idx, _)) = head else {
                 return Ok(());
             };
-            tally.probe_rows += matches.len() as u64;
-            for &idx in matches {
+            while idx != CHAIN_END {
+                tally.probe_rows += 1;
                 scratch.extend_from_slice(&stage.rows[idx as usize]);
                 if check_residuals(stage, scratch, tally)? {
                     walk_stages(pipeline, stage_idx + 1, scratch, sink, tally)?;
                 }
                 scratch.truncate(base_len);
+                idx = table.next[idx as usize];
             }
         }
         StageKind::Broadcast { indices } => {
@@ -1060,11 +1083,11 @@ pub fn explain_select(catalog: &Catalog, select: &Select) -> Result<QueryResult>
         ));
         for stage in &pipeline.stages {
             let desc = match &stage.kind {
-                StageKind::Hash { map, probe_keys } => format!(
+                StageKind::Hash { table, probe_keys } => format!(
                     "hash join: {} on {} key(s) ({} distinct build keys)",
                     stage.table,
                     probe_keys.len(),
-                    map.len()
+                    table.heads.len()
                 ),
                 StageKind::Broadcast { indices } => format!(
                     "broadcast (cross join): {} ({} rows)",

@@ -35,8 +35,9 @@
 //!   returning exact per-group accumulator states
 //!   ([`sqlengine::PartialAggResult`]); the coordinator merges them in
 //!   shard order and finalizes once on its rowless shadow catalog.
-//!   Because `SUM`/`AVG` accumulate in an exact expansion
-//!   ([`sqlengine::ExactSum`]), the merged result is **bit-identical**
+//!   Because `SUM`/`AVG` accumulate in an exact fixed-point
+//!   superaccumulator ([`sqlengine::ExactSum`]), the merged result is
+//!   **bit-identical**
 //!   to a single-node run for any shard count.
 //! * Non-aggregate reads over partitioned data *gather*: each shard
 //!   executes the statement with its `ORDER BY` keys appended as

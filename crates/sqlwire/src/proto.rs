@@ -39,16 +39,17 @@
 use sqlengine::storage::codec::{put_str, put_u32, put_u64, put_value, read_value, Reader};
 use sqlengine::{Column, Schema, SymbolicCatalog};
 use sqlengine::{
-    Error, ExecMetrics, Limits, PartialAggResult, PartialAggState, QueryResult, ScanMetric,
-    StatementKind, Value,
+    Error, ExactSum, ExecMetrics, Limits, PartialAggResult, PartialAggState, QueryResult,
+    ScanMetric, StatementKind, Value,
 };
 use std::time::Duration;
 
 /// Protocol version; [`Request::Hello`] carries the client's, the server
 /// rejects mismatches permanently (a newer binary won't start working by
 /// retrying). Version 2 added statement sequence numbers, deadline
-/// propagation and session resume tokens.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// propagation and session resume tokens; version 3 ships exact sums as
+/// fixed-point limb windows.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Per-statement metadata every statement-bearing request carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -492,6 +493,31 @@ fn read_opt_value(r: &mut Reader<'_>) -> Result<Option<Value>, Error> {
     })
 }
 
+/// An exact sum travels as its normalized limb window — base limb
+/// index, limb count, limbs — then the NaN/+∞/−∞ flags.
+fn put_exact_sum(buf: &mut Vec<u8>, acc: &ExactSum) {
+    let (base, limbs, has_nan, pos_inf, neg_inf) = acc.to_parts();
+    buf.push(base);
+    put_u32(buf, limbs.len() as u32);
+    for l in limbs {
+        put_u64(buf, l as u64);
+    }
+    put_bool(buf, has_nan);
+    put_bool(buf, pos_inf);
+    put_bool(buf, neg_inf);
+}
+
+fn read_exact_sum(r: &mut Reader<'_>) -> Result<ExactSum, Error> {
+    let base = r.u8()?;
+    let n = r.u32()? as usize;
+    let mut limbs = Vec::with_capacity(n.min(r.remaining() / 8));
+    for _ in 0..n {
+        limbs.push(r.u64()? as i64);
+    }
+    let (has_nan, pos_inf, neg_inf) = (read_bool(r)?, read_bool(r)?, read_bool(r)?);
+    ExactSum::from_parts(base, limbs, has_nan, pos_inf, neg_inf).map_err(malformed)
+}
+
 fn put_agg_state(buf: &mut Vec<u8>, s: &PartialAggState) {
     match s {
         PartialAggState::Count(n) => {
@@ -499,39 +525,18 @@ fn put_agg_state(buf: &mut Vec<u8>, s: &PartialAggState) {
             put_u64(buf, *n);
         }
         PartialAggState::Sum {
-            comps,
-            has_nan,
-            pos_inf,
-            neg_inf,
+            acc,
             count,
             all_int,
         } => {
             buf.push(AGG_SUM);
-            put_u32(buf, comps.len() as u32);
-            for &c in comps {
-                put_f64(buf, c);
-            }
-            put_bool(buf, *has_nan);
-            put_bool(buf, *pos_inf);
-            put_bool(buf, *neg_inf);
+            put_exact_sum(buf, acc);
             put_u64(buf, *count);
             put_bool(buf, *all_int);
         }
-        PartialAggState::Avg {
-            comps,
-            has_nan,
-            pos_inf,
-            neg_inf,
-            count,
-        } => {
+        PartialAggState::Avg { acc, count } => {
             buf.push(AGG_AVG);
-            put_u32(buf, comps.len() as u32);
-            for &c in comps {
-                put_f64(buf, c);
-            }
-            put_bool(buf, *has_nan);
-            put_bool(buf, *pos_inf);
-            put_bool(buf, *neg_inf);
+            put_exact_sum(buf, acc);
             put_u64(buf, *count);
         }
         PartialAggState::Min(v) => {
@@ -560,35 +565,15 @@ fn put_agg_state(buf: &mut Vec<u8>, s: &PartialAggState) {
 fn read_agg_state(r: &mut Reader<'_>) -> Result<PartialAggState, Error> {
     Ok(match r.u8()? {
         AGG_COUNT => PartialAggState::Count(r.u64()?),
-        AGG_SUM => {
-            let n = r.u32()? as usize;
-            let mut comps = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                comps.push(read_f64(r)?);
-            }
-            PartialAggState::Sum {
-                comps,
-                has_nan: read_bool(r)?,
-                pos_inf: read_bool(r)?,
-                neg_inf: read_bool(r)?,
-                count: r.u64()?,
-                all_int: read_bool(r)?,
-            }
-        }
-        AGG_AVG => {
-            let n = r.u32()? as usize;
-            let mut comps = Vec::with_capacity(n.min(r.remaining()));
-            for _ in 0..n {
-                comps.push(read_f64(r)?);
-            }
-            PartialAggState::Avg {
-                comps,
-                has_nan: read_bool(r)?,
-                pos_inf: read_bool(r)?,
-                neg_inf: read_bool(r)?,
-                count: r.u64()?,
-            }
-        }
+        AGG_SUM => PartialAggState::Sum {
+            acc: read_exact_sum(r)?,
+            count: r.u64()?,
+            all_int: read_bool(r)?,
+        },
+        AGG_AVG => PartialAggState::Avg {
+            acc: read_exact_sum(r)?,
+            count: r.u64()?,
+        },
         AGG_MIN => PartialAggState::Min(read_opt_value(r)?),
         AGG_MAX => PartialAggState::Max(read_opt_value(r)?),
         AGG_VAR => PartialAggState::Var {
@@ -1257,8 +1242,8 @@ mod tests {
             sql: "SELECT j, SUM(w) FROM gmm GROUP BY j".into(),
         });
         // One group per accumulator kind, with awkward doubles: a
-        // two-component expansion, a negative zero, infinities, NaN
-        // flags — everything must survive as raw bits.
+        // wide limb window, a negative zero, infinities, NaN flags —
+        // everything must survive as raw bits.
         let partial = PartialAggResult {
             groups: vec![
                 (
@@ -1266,10 +1251,7 @@ mod tests {
                     vec![
                         PartialAggState::Count(7),
                         PartialAggState::Sum {
-                            comps: vec![4.9e-324, -0.0, 1e300],
-                            has_nan: false,
-                            pos_inf: true,
-                            neg_inf: false,
+                            acc: sum_of(&[4.9e-324, -0.0, 1e300, f64::INFINITY]),
                             count: 7,
                             all_int: false,
                         },
@@ -1279,10 +1261,7 @@ mod tests {
                     vec![Value::Null],
                     vec![
                         PartialAggState::Avg {
-                            comps: vec![0.1, 1e-17],
-                            has_nan: true,
-                            pos_inf: false,
-                            neg_inf: true,
+                            acc: sum_of(&[0.1, 1e-17, f64::NAN, f64::NEG_INFINITY]),
                             count: 2,
                         },
                         PartialAggState::Min(Some(Value::Double(-1.5))),
@@ -1307,16 +1286,71 @@ mod tests {
         assert!(same_encoding(&resp, &Response::Partial(p2)));
     }
 
+    fn sum_of(values: &[f64]) -> ExactSum {
+        let mut acc = ExactSum::new();
+        for &v in values {
+            acc.add(v);
+        }
+        acc
+    }
+
+    /// A `Partial` response carrying one SUM state whose limb window is
+    /// `(base, limbs)`, encoded by hand.
+    fn partial_with_window(base: u8, limbs: &[u64]) -> Vec<u8> {
+        let good = Response::Partial(PartialAggResult {
+            groups: vec![(
+                vec![],
+                vec![PartialAggState::Sum {
+                    acc: sum_of(&[1.0]),
+                    count: 1,
+                    all_int: false,
+                }],
+            )],
+        })
+        .encode();
+        // The SUM state ends the message: tag, base, limb count, one
+        // limb (1.0 is a single limb), three flags, count, all_int.
+        let at = good.len() - (1 + 1 + 4 + 8 + 3 + 8 + 1);
+        assert_eq!(good[at], AGG_SUM);
+        let mut out = good[..=at].to_vec();
+        out.push(base);
+        put_u32(&mut out, limbs.len() as u32);
+        for &l in limbs {
+            put_u64(&mut out, l);
+        }
+        out.extend_from_slice(&good[at + 1 + 1 + 4 + 8..]);
+        out
+    }
+
+    #[test]
+    fn bad_sum_windows_are_typed_decode_errors() {
+        // The hand encoding itself is sound.
+        let (base, limbs, ..) = sum_of(&[1.0]).to_parts();
+        let limbs: Vec<u64> = limbs.iter().map(|&l| l as u64).collect();
+        assert!(Response::decode(&partial_with_window(base, &limbs)).is_ok());
+        for (base, limbs) in [
+            (70u8, vec![1u64]),            // base off the grid
+            (68, vec![0, 0, 1]),           // window runs off the grid
+            (255, vec![]),                 // empty, base off the grid
+            (3, vec![u64::MAX, 1]),        // negative lower limb
+            (3, vec![1 << 32, 1]),         // lower limb over 32 bits
+            (3, vec![0, 1 << 31]),         // top limb over i32
+            (3, vec![0, i64::MIN as u64]), // top limb far out
+            (0, vec![u64::MAX >> 1; 70]),  // every limb unnormalized
+        ] {
+            let err = Response::decode(&partial_with_window(base, &limbs))
+                .expect_err("unnormalized window must not decode");
+            assert!(err.to_string().contains("exact-sum"), "{err}");
+        }
+    }
+
     #[test]
     fn truncated_partial_payloads_are_rejected() {
         let full = Response::Partial(PartialAggResult {
             groups: vec![(
                 vec![Value::Int(1)],
                 vec![PartialAggState::Sum {
-                    comps: vec![1.0, 1e-30],
-                    has_nan: false,
-                    pos_inf: false,
-                    neg_inf: false,
+                    acc: sum_of(&[1.0, 1e-30]),
                     count: 2,
                     all_int: false,
                 }],

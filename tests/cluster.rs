@@ -17,7 +17,9 @@
 //!   the coordinator surfaces the typed transient error, the driver's
 //!   `RetryPolicy` rides out the restart through the shard's resume
 //!   token, surviving shards are not double-applied, and the final
-//!   model is bit-identical to an uninterrupted run.
+//!   model is bit-identical to an uninterrupted run;
+//! * shard partial sums beyond the `f64` range merging, over the wire,
+//!   to the exactly rounded total.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,8 +32,8 @@ use emcore::GmmParams;
 use sqlem::{EmSession, RetryPolicy, SqlemConfig, SqlemRun, Strategy};
 use sqlengine::{Database, SharedDatabase, SqlExecutor};
 use sqlwire::{
-    ChaosAction, ChaosProxy, ClientConfig, Coordinator, Direction, RemoteConnection, Server,
-    ServerConfig, ServerHandle,
+    shard_of_rid, ChaosAction, ChaosProxy, ClientConfig, Coordinator, Direction, RemoteConnection,
+    Server, ServerConfig, ServerHandle,
 };
 
 // ---------------------------------------------------------------------
@@ -265,4 +267,38 @@ fn shard_kill_and_restart_mid_run_is_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 
     assert_same_run("kill+restart", &run, &baseline);
+}
+
+// ---------------------------------------------------------------------
+// exact partial sums across the wire
+
+#[test]
+fn partial_sums_beyond_f64_range_merge_exactly_over_the_wire() {
+    let s0 = TestServer::start(SharedDatabase::default());
+    let s1 = TestServer::start(SharedDatabase::default());
+    let mut coord = Coordinator::new(vec![connect(&s0.addr), connect(&s1.addr)]).unwrap();
+    coord
+        .execute("CREATE TABLE t (rid BIGINT, v DOUBLE)")
+        .unwrap();
+    // Shard 0 sums [MAX, MAX], an exact 2·MAX beyond any finite f64;
+    // shard 1 sums [-MAX]. Only the merged sum is back in range.
+    let on_shard = |shard: usize| (1i64..).filter(move |&rid| shard_of_rid(rid, 2) == shard);
+    let a: Vec<i64> = on_shard(0).take(2).collect();
+    let b = on_shard(1).next().unwrap();
+    let max = format!("{:e}", f64::MAX);
+    coord
+        .execute(&format!(
+            "INSERT INTO t VALUES ({}, {max}), ({}, {max}), ({b}, -{max})",
+            a[0], a[1]
+        ))
+        .unwrap();
+    let sum = coord.execute("SELECT sum(v) FROM t").unwrap().rows[0][0].clone();
+    drop(coord);
+    s0.stop();
+    s1.stop();
+    assert_eq!(
+        sum.as_f64().map(f64::to_bits),
+        Some(f64::MAX.to_bits()),
+        "got {sum}"
+    );
 }
